@@ -204,11 +204,6 @@ def predictive_cell_draws(output, site, data, rng):
     return rng.gamma(shape=beta1[:, None], scale=1.0 / lam)
 
 
-def predictive_draws(output, site, data, rng):
-    """Pooled posterior predictive sample at a fully censored site."""
-    return predictive_cell_draws(output, site, data, rng).ravel()
-
-
 def holdout_scores(outputs, data, censor_quantile, seed=0):
     """Mean CRPS and twCRPS over non-missing cells at prediction sites.
 

@@ -49,6 +49,8 @@ from .sampler import (
 from .simulate import ScenarioSpec, chi_u_curve, simulate_dataset
 
 _REQUIRED = object()
+# what pickle.load raises on a truncated or foreign file
+_UNREADABLE_PICKLE = (pickle.UnpicklingError, EOFError)
 
 
 class ConfigError(Exception):
@@ -134,42 +136,65 @@ def write_dataset(out_dir, data, coords, covariates, covariate_names):
                 )
 
 
+def _read_table(path):
+    """Header and body rows of a CSV file with at least one body row, each
+    as wide as the header."""
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except FileNotFoundError:
+        raise ValidationError(f"missing input file {path}") from None
+    if not rows:
+        raise ValidationError(f"{path} is empty")
+    if len(rows) == 1:
+        raise ValidationError(f"{path} has a header but no rows")
+    width = len(rows[0])
+    for line, r in enumerate(rows[1:], start=2):
+        if len(r) != width:
+            raise ValidationError(
+                f"{path} line {line}: expected {width} fields, found {len(r)}"
+            )
+    return rows[0], rows[1:]
+
+
 def read_dataset(data_dir):
     """Read a dataset directory; returns (data, coords, covariates, names)."""
     sites_path = os.path.join(data_dir, "sites.csv")
     data_path = os.path.join(data_dir, "data.csv")
-    for p in (sites_path, data_path):
-        if not os.path.exists(p):
-            raise ValidationError(f"missing input file {p}")
-    with open(sites_path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header, rows = rows[0], rows[1:]
+    header, rows = _read_table(sites_path)
     if header[:3] != ["site_id", "x", "y"]:
         raise ValidationError("sites.csv must start with site_id,x,y")
     cov_names = header[3:]
-    site_ids = [int(r[0]) for r in rows]
+    site_ids, table = [], []
+    for line, r in enumerate(rows, start=2):
+        try:
+            site_ids.append(int(r[0]))
+            table.append([float(v) for v in r[1:]])
+        except ValueError as err:
+            raise ValidationError(f"{sites_path} line {line}: {err}") from None
     if sorted(site_ids) != list(range(len(rows))):
         raise ValidationError("site ids must be 0..d-1 without gaps")
-    order = np.argsort(site_ids)
-    table = np.array([[float(v) for v in r[1:]] for r in rows])[order]
+    table = np.array(table)[np.argsort(site_ids)]
     coords = table[:, :2]
     covariates = table[:, 2:]
 
-    with open(data_path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if rows[0] != ["site_id", "time_id", "value", "censor"]:
+    header, rows = _read_table(data_path)
+    if header != ["site_id", "time_id", "value", "censor"]:
         raise ValidationError("data.csv must have site_id,time_id,value,censor")
     d = coords.shape[0]
     cells = {}
     times = set()
-    for r in rows[1:]:
-        j, i = int(r[0]), int(r[1])
+    for line, r in enumerate(rows, start=2):
+        try:
+            j, i = int(r[0]), int(r[1])
+            value = math.nan if r[2] == "" else float(r[2])
+            censor = float(r[3])
+        except ValueError as err:
+            raise ValidationError(f"{data_path} line {line}: {err}") from None
         if j < 0 or j >= d:
             raise ValidationError(f"unknown site id {j}")
         if (i, j) in cells:
             raise ValidationError(f"duplicate cell site {j} time {i}")
-        value = math.nan if r[2] == "" else float(r[2])
-        censor = float(r[3])
         if censor < 0 or math.isnan(censor):
             raise ValidationError(f"bad censor value at site {j} time {i}")
         if math.isnan(value) and math.isfinite(censor):
@@ -185,9 +210,7 @@ def read_dataset(data_dir):
     for (i, j), (value, censor) in cells.items():
         y[i, j] = value
         u[i, j] = censor
-    with np.errstate(invalid="ignore"):
-        e = np.where(np.isfinite(u), (y >= u).astype(float), 0.0)
-    return ExceedanceData(y, u, e), coords, covariates, cov_names
+    return ExceedanceData.from_thresholds(y, u), coords, covariates, cov_names
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +410,10 @@ def cmd_fit(args):
         for p in ckpt_paths:
             if not os.path.exists(p):
                 raise ValidationError(f"--resume requested but {p} is missing")
-            payload = load_checkpoint(p)
+            try:
+                payload = load_checkpoint(p)
+            except _UNREADABLE_PICKLE as err:
+                raise ValidationError(f"cannot read checkpoint {p}: {err}") from None
             if payload["fingerprint"] != fingerprint:
                 raise ValidationError(
                     "checkpoint belongs to a different run (manifest mismatch)"
@@ -485,8 +511,11 @@ def _load_fit(fit_dir):
     path = os.path.join(fit_dir, "chains.pkl")
     if not os.path.exists(path):
         raise ValidationError(f"no chains.pkl under {fit_dir}; run fit first")
-    with open(path, "rb") as fh:
-        return pickle.load(fh)
+    try:
+        with open(path, "rb") as fh:
+            return pickle.load(fh)
+    except _UNREADABLE_PICKLE as err:
+        raise ValidationError(f"cannot read {path}: {err}") from None
 
 
 def cmd_predict(args):
@@ -522,8 +551,12 @@ def cmd_score(args):
     by_variant = {}
     for fit_dir in args.fit:
         bundle = _load_fit(fit_dir)
-        with open(os.path.join(fit_dir, "manifest.json")) as fh:
-            variant = json.load(fh).get("variant", os.path.basename(fit_dir))
+        manifest_path = os.path.join(fit_dir, "manifest.json")
+        try:
+            with open(manifest_path) as fh:
+                variant = json.load(fh).get("variant", os.path.basename(fit_dir))
+        except (FileNotFoundError, json.JSONDecodeError) as err:
+            raise ValidationError(f"cannot read {manifest_path}: {err}") from None
         by_variant[variant] = bundle["outputs"]
     rows = compare(
         by_variant, data, censor_quantile=args.censor_quantile, seed=args.seed or 0
@@ -589,16 +622,15 @@ def cmd_chi(args):
 
 def cmd_extract_events(args):
     t0 = time.monotonic()
-    with open(args.data, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if rows[0][:3] != ["site_id", "time_id", "value"]:
+    header, rows = _read_table(args.data)
+    if header[:3] != ["site_id", "time_id", "value"]:
         raise ValidationError("series file must have site_id,time_id,value")
-    sites = sorted({int(r[0]) for r in rows[1:]})
-    times = sorted({int(r[1]) for r in rows[1:]})
+    sites = sorted({int(r[0]) for r in rows})
+    times = sorted({int(r[1]) for r in rows})
     smap = {s: k for k, s in enumerate(sites)}
     tmap = {t: k for k, t in enumerate(times)}
     values = np.full((len(times), len(sites)), np.nan)
-    for r in rows[1:]:
+    for r in rows:
         if r[2] != "":
             values[tmap[int(r[1])], smap[int(r[0])]] = float(r[2])
     days, means, missing = extract_events(values, args.quantile)

@@ -5,6 +5,7 @@ the latent rates, and the log-linear site scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,11 +80,26 @@ class LatentMarginal:
     beta2: np.ndarray | float
 
 
-def _margin_logpdf(lam, marg):
-    """Gamma log density of the latent rates, broadcast over rows."""
-    b2 = np.asarray(marg.beta2, dtype=float)
-    a = marg.alpha_site
-    return b2 * np.log(a) - special.gammaln(b2) + (b2 - 1.0) * np.log(lam) - a * lam
+def site_marginal(h, covariates):
+    """Latent margins at the sites for hyperparameters h.
+
+    log alpha(s) = h.alpha_coefs[0] + covariates @ h.alpha_coefs[1:]; with
+    beta2 slopes, log beta2(s) = log h.beta2 + covariates[:, :q] @ slopes,
+    otherwise beta2 is shared. Raises DomainError when either log scale
+    leaves [-LOG_ALPHA_MAX, LOG_ALPHA_MAX], where exp over- or underflows.
+    """
+    log_alpha = h.alpha_coefs[0] + covariates @ h.alpha_coefs[1:]
+    if np.any(np.abs(log_alpha) > LOG_ALPHA_MAX):
+        raise DomainError("log alpha(s) exceeds the overflow guard")
+    if h.beta2_slopes is None:
+        beta2_site = h.beta2
+    else:
+        q = len(h.beta2_slopes)
+        log_beta2 = math.log(h.beta2) + covariates[:, :q] @ h.beta2_slopes
+        if np.any(np.abs(log_beta2) > LOG_ALPHA_MAX):
+            raise DomainError("log beta2(s) exceeds the overflow guard")
+        beta2_site = np.exp(log_beta2)
+    return LatentMarginal(alpha_site=np.exp(log_alpha), beta2=beta2_site)
 
 
 def z_scores(lam, marg):
@@ -98,6 +114,21 @@ def z_scores(lam, marg):
     return z, clipped
 
 
+def copula_cells(z, lam, log_lam, marg, corr):
+    """Cell terms of the Gaussian copula density over gamma margins.
+
+    z are the normal scores of the (n, d) rates lam, and log_lam their logs.
+    Returns the whitened scores w = L^-1 z^T, (d, n), and the gamma log
+    density of every rate, (n, d). Row i has log density
+    -0.5 (|w[:, i]|^2 - |z[i]|^2) - 0.5 log|Sigma| + sum of its margin terms.
+    """
+    w = linalg.solve_triangular(corr.chol, z.T, lower=True)
+    b2 = np.asarray(marg.beta2, dtype=float)
+    a = marg.alpha_site
+    margin_cells = b2 * np.log(a) - special.gammaln(b2) + (b2 - 1.0) * log_lam - a * lam
+    return w, margin_cells
+
+
 def copula_loglik_rows(lam, marg, corr):
     """Joint log density of latent-rate rows: Gaussian copula + gamma margins.
 
@@ -105,17 +136,10 @@ def copula_loglik_rows(lam, marg, corr):
     """
     lam = np.asarray(lam, dtype=float)
     z, _ = z_scores(lam, marg)
-    w = linalg.solve_triangular(corr.chol, z.T, lower=True)
+    w, margin_cells = copula_cells(z, lam, np.log(lam), marg, corr)
     quad = np.sum(w * w, axis=0)
     zz = np.sum(z * z, axis=1)
-    margins = np.sum(_margin_logpdf(lam, marg), axis=1)
-    return -0.5 * (quad - zz) - 0.5 * corr.log_det + margins
-
-
-def copula_loglik_row(lam_row, marg, corr):
-    """Log density of a single row of latent rates."""
-    lam_row = np.asarray(lam_row, dtype=float)
-    return float(copula_loglik_rows(lam_row[None, :], marg, corr)[0])
+    return -0.5 * (quad - zz) - 0.5 * corr.log_det + np.sum(margin_cells, axis=1)
 
 
 def _gamma_quantile_rows(u, marg):
@@ -131,10 +155,6 @@ def copula_sample_rows(marg, corr, n, rng):
     return _gamma_quantile_rows(special.ndtr(z), marg)
 
 
-def copula_sample_row(marg, corr, rng):
-    return copula_sample_rows(marg, corr, 1, rng)[0]
-
-
 def copula_sample_rows_t(marg, corr, nu, n, rng):
     """Student-t copula variant with nu degrees of freedom (same margins)."""
     if not nu > 0:
@@ -144,32 +164,6 @@ def copula_sample_rows_t(marg, corr, nu, n, rng):
     w = rng.chisquare(nu, size=n) / nu
     t = z / np.sqrt(w)[:, None]
     return _gamma_quantile_rows(special.stdtr(nu, t), marg)
-
-
-def copula_sample_row_t(marg, corr, nu, rng):
-    return copula_sample_rows_t(marg, corr, nu, 1, rng)[0]
-
-
-def site_log_alpha(coefs, covariates):
-    """log alpha(s) = coefs[0] + covariates @ coefs[1:], validated for overflow."""
-    coefs = np.asarray(coefs, dtype=float)
-    covariates = np.asarray(covariates, dtype=float)
-    la = coefs[0] + covariates @ coefs[1:]
-    if np.any(la > LOG_ALPHA_MAX):
-        raise DomainError("log alpha(s) exceeds the overflow guard")
-    return la
-
-
-def site_alpha(coefs, covariates):
-    """Log-linear site scale alpha(s) = alpha_0 * exp(sum_k coefs_k x_k(s)).
-
-    coefs[0] is the natural-scale intercept alpha_0 > 0.
-    """
-    coefs = np.asarray(coefs, dtype=float)
-    if not coefs[0] > 0:
-        raise DomainError("alpha_0 must be positive")
-    log_coefs = np.concatenate(([np.log(coefs[0])], coefs[1:]))
-    return np.exp(site_log_alpha(log_coefs, covariates))
 
 
 @dataclass

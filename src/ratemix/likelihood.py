@@ -23,8 +23,8 @@ from .distributions import DomainError
 from .latent_field import (
     FactorizationError,
     LatentMarginal,
-    LOG_ALPHA_MAX,
-    SpatialModel,
+    copula_cells,
+    site_marginal,
     z_scores,
 )
 
@@ -81,6 +81,16 @@ class ExceedanceData:
         censored = (~exceed) & finite_u
         self.cens_flat = np.flatnonzero(censored.ravel())
         self.u_cens = u.ravel()[self.cens_flat]
+
+    @classmethod
+    def from_thresholds(cls, y, u):
+        """Data whose indicators follow from the values and thresholds:
+        e = 1{y >= u} where u is finite, 0 elsewhere."""
+        y = np.asarray(y, dtype=float)
+        u = np.asarray(u, dtype=float)
+        with np.errstate(invalid="ignore"):
+            e = np.where(np.isfinite(u), (y >= u).astype(float), 0.0)
+        return cls(y, u, e)
 
     @property
     def shape(self):
@@ -383,18 +393,10 @@ class PosteriorEvaluator:
 
     def prepare(self, h):
         """Context for a hyperparameter state, or None when log-zero."""
-        X = self.model.covariates
-        log_alpha = h.alpha_coefs[0] + X @ h.alpha_coefs[1:]
-        if np.any(np.abs(log_alpha) > LOG_ALPHA_MAX):
+        try:
+            marg = site_marginal(h, self.model.covariates)
+        except DomainError:
             return None
-        if h.beta2_slopes is None:
-            beta2_site = h.beta2
-        else:
-            q = len(h.beta2_slopes)
-            log_beta2 = math.log(h.beta2) + X[:, :q] @ h.beta2_slopes
-            if np.any(np.abs(log_beta2) > LOG_ALPHA_MAX):
-                return None
-            beta2_site = np.exp(log_beta2)
         prior_and_jac = 0.0
         if self.priors is not None:
             prior_and_jac = hyper_logprior(h, self.priors) + log_jacobian(transform(h))
@@ -404,7 +406,6 @@ class PosteriorEvaluator:
             corr = self.model.correlation(h.rho)
         except FactorizationError:
             return None
-        marg = LatentMarginal(alpha_site=np.exp(log_alpha), beta2=beta2_site)
         return HyperContext(
             hyper=h, marg=marg, corr=corr, prior_and_jac=prior_and_jac, beta1=h.beta1
         )
@@ -416,16 +417,9 @@ class PosteriorEvaluator:
             return None
         marg, corr = ctx.marg, ctx.corr
         z, clipped = z_scores(lam, marg)
-        w = linalg.solve_triangular(corr.chol, z.T, lower=True)
+        w, margin_cells = copula_cells(z, lam, log_lam, marg, corr)
         quad = np.sum(w * w)
         zz = np.sum(z * z)
-        b2 = np.asarray(marg.beta2, dtype=float)
-        margin_cells = (
-            b2 * np.log(marg.alpha_site)
-            - special.gammaln(b2)
-            + (b2 - 1.0) * log_lam
-            - marg.alpha_site * lam
-        )
         copula = (
             -0.5 * (quad - zz) - 0.5 * self.data.n * corr.log_det + np.sum(margin_cells)
         )

@@ -27,14 +27,6 @@ class ModelVariant:
     beta1_fixed: bool
     beta2_covariates: bool
 
-    def n_hyper(self, n_covariates):
-        n = 1 + n_covariates + 1 + 1  # alpha coefs, beta2, rho
-        if not self.beta1_fixed:
-            n += 1
-        if self.beta2_covariates:
-            n += n_covariates
-        return n
-
 
 VARIANTS = {
     "D1": ModelVariant("D1", beta1_fixed=False, beta2_covariates=False),
@@ -122,10 +114,7 @@ def apply_censoring(y, censor_quantile, predict_sites=(), missing=None):
     predict_sites = np.asarray(list(predict_sites), dtype=int)
     if predict_sites.size:
         u[:, predict_sites] = np.inf
-    with np.errstate(invalid="ignore"):
-        e = np.where(np.isfinite(u), (y >= u).astype(float), 0.0)
-    e[np.isnan(y)] = 0.0
-    return ExceedanceData(y, u, e)
+    return ExceedanceData.from_thresholds(y, u)
 
 
 def initial_hyper(variant, model, rng, spread=0.5):

@@ -42,7 +42,9 @@ class SamplerConfig:
 
     burnin1 is the freely adapting phase, burnin2 the band-guarded phase;
     both are discarded as warm-up. Iteration counts should be multiples of
-    adapt_interval for clean window bookkeeping (validated loosely).
+    adapt_interval for clean window bookkeeping. This is not validated: a
+    window that straddles a phase boundary adapts under the phase of its
+    last iteration, and a trailing partial window is never closed.
     """
 
     n_iter: int

@@ -10,13 +10,12 @@ import numpy as np
 
 from .distributions import DomainError
 from .latent_field import (
-    LatentMarginal,
     SpatialModel,
     build_correlation,
     copula_sample_rows,
     copula_sample_rows_t,
     make_design,
-    site_log_alpha,
+    site_marginal,
 )
 from .likelihood import ExceedanceData, HyperParams
 
@@ -57,16 +56,6 @@ def gaussian_field_sample(design, corr_range, rng):
     return corr.chol @ eps
 
 
-def _site_params(hyper, covariates):
-    alpha_site = np.exp(site_log_alpha(hyper.alpha_coefs, covariates))
-    if hyper.beta2_slopes is None:
-        beta2_site = hyper.beta2
-    else:
-        q = len(hyper.beta2_slopes)
-        beta2_site = np.exp(np.log(hyper.beta2) + covariates[:, :q] @ hyper.beta2_slopes)
-    return LatentMarginal(alpha_site=alpha_site, beta2=beta2_site)
-
-
 def _latent_rows(marg, corr, n, spec, rng):
     if spec.copula == "student_t":
         return copula_sample_rows_t(marg, corr, spec.nu, n, rng)
@@ -89,7 +78,7 @@ def simulate_dataset(spec):
     if len(spec.hyper.alpha_coefs) != covariates.shape[1] + 1:
         raise DomainError("hyper.alpha_coefs must have one slope per covariate")
 
-    marg = _site_params(spec.hyper, covariates)
+    marg = site_marginal(spec.hyper, covariates)
     corr = build_correlation(design, spec.hyper.rho)
     lam = _latent_rows(marg, corr, spec.n, spec, rng)
     y = rng.gamma(shape=spec.hyper.beta1, scale=1.0 / lam)
@@ -103,7 +92,6 @@ def simulate_dataset(spec):
             rng.choice(spec.d, size=spec.n_predict_sites, replace=False)
         )
         u[:, predict] = np.inf
-    e = np.where(np.isfinite(u), (y >= u).astype(float), 0.0)
 
     model = SpatialModel(
         design=design,
@@ -112,7 +100,7 @@ def simulate_dataset(spec):
         cov_mean=np.zeros(covariates.shape[1]),
         cov_sd=np.ones(covariates.shape[1]),
     )
-    return ExceedanceData(y, u, e), model, np.log(lam)
+    return ExceedanceData.from_thresholds(y, u), model, np.log(lam)
 
 
 @dataclass
@@ -144,7 +132,7 @@ def chi_u_curve(spec, pair_distance, u_grid, n_mc):
     rng = np.random.default_rng(spec.seed)
     design = make_design(np.array([[0.0, 0.0], [pair_distance, 0.0]]))
     covariates = np.zeros((2, len(spec.hyper.alpha_coefs) - 1))
-    marg = _site_params(spec.hyper, covariates)
+    marg = site_marginal(spec.hyper, covariates)
     corr = build_correlation(design, spec.hyper.rho)
     lam = _latent_rows(marg, corr, n_mc, spec, rng)
     y = rng.gamma(shape=spec.hyper.beta1, scale=1.0 / lam)

@@ -26,7 +26,6 @@ from ratemix.diagnostics import (
     latent_summaries,
     posterior_summaries,
     predictive_cell_draws,
-    predictive_draws,
     qq_data,
     qq_parametric_band,
     split_rhat,
@@ -262,7 +261,7 @@ class TestPredictive:
         lat_rows, _ = outputs[0].retained_latent()
         assert draws.shape == (lat_rows.shape[0], data.n)
         assert np.all(draws > 0)
-        pooled = predictive_draws(outputs[0], site, data, np.random.default_rng(1))
+        pooled = predictive_cell_draws(outputs[0], site, data, np.random.default_rng(1)).ravel()
         assert pooled.shape == (lat_rows.shape[0] * data.n,)
 
     def test_rejects_training_site(self, small_fit):
@@ -275,7 +274,10 @@ class TestPredictive:
         data, model, outputs = small_fit
         site = int(data.prediction_sites()[0])
         pooled = np.concatenate(
-            [predictive_draws(o, site, data, np.random.default_rng(5)) for o in outputs]
+            [
+                predictive_cell_draws(o, site, data, np.random.default_rng(5)).ravel()
+                for o in outputs
+            ]
         )
         summ = posterior_summaries(outputs)
         b2_hat = summ["beta2"].mean

@@ -75,6 +75,13 @@ def read_bytes(path):
         return fh.read()
 
 
+def truncate(path):
+    """Cut a file to half its length, as an interrupted write would."""
+    raw = read_bytes(path)
+    with open(path, "wb") as fh:
+        fh.write(raw[: len(raw) // 2])
+
+
 def manifest_core(path):
     with open(path) as fh:
         m = json.load(fh)
@@ -205,6 +212,66 @@ class TestDatasetFiles:
             fh.write("station,day,val,cut\n" + "\n".join(body) + "\n")
         with pytest.raises(ValidationError):
             read_dataset(tmp_path)
+
+
+class TestMalformedDatasetCli:
+    """Malformed dataset files exit 2 with an error line naming the file."""
+
+    def run_fit(self, workspace, data_dir, capsys):
+        rc = io_cli.main([
+            "fit", "--config", str(workspace["fit_cfg"]), "--data", str(data_dir),
+            "--out", str(data_dir / "fit"),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        return err
+
+    def copy_data(self, workspace, tmp_path):
+        data_dir = tmp_path / "data"
+        shutil.copytree(workspace["data_dir"], data_dir)
+        return data_dir
+
+    def test_short_row(self, workspace, tmp_path, capsys):
+        data_dir = self.copy_data(workspace, tmp_path)
+        with open(data_dir / "data.csv", "a") as fh:
+            fh.write("0,5\n")
+        n_lines = len((data_dir / "data.csv").read_text().splitlines())
+        err = self.run_fit(workspace, data_dir, capsys)
+        assert f"data.csv line {n_lines}" in err
+        assert "expected 4 fields, found 2" in err
+
+    def test_short_site_row(self, workspace, tmp_path, capsys):
+        data_dir = self.copy_data(workspace, tmp_path)
+        lines = (data_dir / "sites.csv").read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0]
+        (data_dir / "sites.csv").write_text("\n".join(lines) + "\n")
+        err = self.run_fit(workspace, data_dir, capsys)
+        assert "sites.csv line 3" in err
+
+    def test_non_numeric_value(self, workspace, tmp_path, capsys):
+        data_dir = self.copy_data(workspace, tmp_path)
+        lines = (data_dir / "data.csv").read_text().splitlines()
+        lines[1] = "0,0,abc,0.0"
+        (data_dir / "data.csv").write_text("\n".join(lines) + "\n")
+        err = self.run_fit(workspace, data_dir, capsys)
+        assert "data.csv line 2" in err
+
+    @pytest.mark.parametrize("name", ["data.csv", "sites.csv"])
+    def test_empty_file(self, workspace, tmp_path, capsys, name):
+        data_dir = self.copy_data(workspace, tmp_path)
+        (data_dir / name).write_text("")
+        err = self.run_fit(workspace, data_dir, capsys)
+        assert f"{name} is empty" in err
+
+    @pytest.mark.parametrize("name", ["data.csv", "sites.csv"])
+    def test_header_only(self, workspace, tmp_path, capsys, name):
+        data_dir = self.copy_data(workspace, tmp_path)
+        header = (data_dir / name).read_text().splitlines()[0]
+        (data_dir / name).write_text(header + "\n")
+        err = self.run_fit(workspace, data_dir, capsys)
+        assert f"{name} has a header but no rows" in err
 
 
 class TestExtractEvents:
@@ -339,6 +406,20 @@ class TestFitCli:
         assert rc == 2
         assert "different run" in capsys.readouterr().err
 
+    def test_resume_truncated_checkpoint_fails(self, workspace, tmp_path, capsys):
+        out2 = tmp_path / "fitF"
+        shutil.copytree(workspace["fit_dir"], out2)
+        truncate(out2 / "checkpoint_chain1.pkl")
+        rc = io_cli.main([
+            "fit", "--config", str(workspace["fit_cfg"]),
+            "--data", str(workspace["data_dir"]),
+            "--out", str(out2), "--chains", "2", "--resume",
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: cannot read checkpoint")
+        assert "checkpoint_chain1.pkl" in err and "Traceback" not in err
+
     def test_unknown_covariate_fails(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "fit_bad.ini"
         cfg.write_text(FIT_CONFIG.format(site=workspace["site"]).replace(
@@ -387,6 +468,31 @@ class TestPredictCli:
         ])
         assert rc == 2
         assert "chains.pkl" in capsys.readouterr().err
+
+
+class TestUnreadableFitDirCli:
+    """A damaged fit directory exits 2 with an error line naming the file."""
+
+    @pytest.mark.parametrize(
+        "command, damage, name",
+        [
+            ("predict", truncate, "chains.pkl"),
+            ("score", truncate, "chains.pkl"),
+            ("score", os.remove, "manifest.json"),
+        ],
+    )
+    def test_fails_cleanly(self, workspace, tmp_path, capsys, command, damage, name):
+        fit_dir = tmp_path / "fit"
+        shutil.copytree(workspace["fit_dir"], fit_dir)
+        damage(fit_dir / name)
+        rc = io_cli.main([
+            command, "--fit", str(fit_dir),
+            "--data", str(workspace["data_dir"]), "--out", str(tmp_path / "o"),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: cannot read") and name in err
+        assert "Traceback" not in err
 
 
 class TestScoreCli:
@@ -448,3 +554,18 @@ class TestExtractEventsCli:
         # site 1 has no value on day 1, so that day reports one missing cell
         assert got[0][2] == "1"
         assert got[1][2] == "0"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "is empty"),
+            ("site_id,time_id,value\n0,1\n", "line 2: expected 3 fields, found 2"),
+        ],
+    )
+    def test_malformed_series_fails(self, tmp_path, capsys, text, message):
+        series = tmp_path / "series.csv"
+        series.write_text(text)
+        rc = io_cli.main(["extract-events", "--data", str(series), "--out", str(tmp_path / "e")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and message in err

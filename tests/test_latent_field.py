@@ -11,19 +11,23 @@ from ratemix.latent_field import (
     LatentMarginal,
     SpatialModel,
     build_correlation,
-    copula_loglik_row,
     copula_loglik_rows,
-    copula_sample_row,
     copula_sample_rows,
     copula_sample_rows_t,
     make_design,
-    site_alpha,
-    site_log_alpha,
+    site_marginal,
 )
+from ratemix.likelihood import HyperParams
+from ratemix.simulate import ScenarioSpec, chi_u_curve, simulate_dataset
 
 
 def pair_design(distance):
     return make_design(np.array([[0.0, 0.0], [distance, 0.0]]))
+
+
+def row_loglik(lam_row, marg, corr):
+    """Log density of a single row of latent rates."""
+    return float(copula_loglik_rows(np.asarray(lam_row, dtype=float)[None, :], marg, corr)[0])
 
 
 class TestCorrelation:
@@ -96,7 +100,7 @@ class TestCopulaDensity:
         one = build_correlation(make_design(np.array([[0.0, 0.0], [100.0, 0.0]])), 0.01)
         lam = np.array([0.7, 1.9])
         marg = LatentMarginal(alpha_site=np.array([1.3, 0.6]), beta2=2.1)
-        got = copula_loglik_row(lam, marg, one)
+        got = row_loglik(lam, marg, one)
         want = gamma_logpdf(0.7, GammaParams(1.3, 2.1)) + gamma_logpdf(1.9, GammaParams(0.6, 2.1))
         assert_allclose(got, want, atol=1e-10)
 
@@ -111,7 +115,7 @@ class TestCopulaDensity:
             - stats.norm.logpdf(z).sum()
             + stats.gamma.logpdf(lam, a=3.0, scale=1.0 / marg.alpha_site).sum()
         )
-        assert_allclose(copula_loglik_row(lam, marg, corr), want, atol=1e-10)
+        assert_allclose(row_loglik(lam, marg, corr), want, atol=1e-10)
 
     def test_rows_vectorization(self):
         rng = np.random.default_rng(3)
@@ -120,7 +124,7 @@ class TestCopulaDensity:
         marg = LatentMarginal(alpha_site=rng.uniform(0.5, 2.0, size=4), beta2=2.5)
         lam = rng.gamma(2.0, 1.0, size=(6, 4))
         rows = copula_loglik_rows(lam, marg, corr)
-        singles = [copula_loglik_row(lam[i], marg, corr) for i in range(6)]
+        singles = [row_loglik(lam[i], marg, corr) for i in range(6)]
         assert_allclose(rows, singles, rtol=1e-12)
 
     def test_permutation_invariance(self):
@@ -129,10 +133,10 @@ class TestCopulaDensity:
         alpha = rng.uniform(0.5, 2.0, size=5)
         lam = rng.gamma(2.0, 1.0, size=5)
         perm = np.array([3, 0, 4, 1, 2])
-        base = copula_loglik_row(
+        base = row_loglik(
             lam, LatentMarginal(alpha, 2.0), build_correlation(make_design(coords), 0.9)
         )
-        shuffled = copula_loglik_row(
+        shuffled = row_loglik(
             lam[perm],
             LatentMarginal(alpha[perm], 2.0),
             build_correlation(make_design(coords[perm]), 0.9),
@@ -142,7 +146,7 @@ class TestCopulaDensity:
     def test_extreme_lambda_stays_finite(self):
         corr = build_correlation(pair_design(0.5), 1.0)
         marg = LatentMarginal(alpha_site=np.array([1.0, 1.0]), beta2=2.0)
-        val = copula_loglik_row(np.array([1e-14, 1e9]), marg, corr)
+        val = row_loglik(np.array([1e-14, 1e9]), marg, corr)
         assert math.isfinite(val)
 
     def test_density_integrates_to_one_d2(self):
@@ -150,7 +154,7 @@ class TestCopulaDensity:
         marg = LatentMarginal(alpha_site=np.array([1.0, 1.5]), beta2=2.0)
 
         def dens(x, y):
-            return math.exp(copula_loglik_row(np.array([x, y]), marg, corr))
+            return math.exp(row_loglik(np.array([x, y]), marg, corr))
 
         val, _ = integrate.dblquad(dens, 1e-6, 40.0, 1e-6, 40.0, epsabs=1e-6)
         assert_allclose(val, 1.0, atol=1e-4)
@@ -212,37 +216,63 @@ class TestCopulaSampling:
         rng = np.random.default_rng(17)
         corr = build_correlation(pair_design(0.5), 1.0)
         marg = LatentMarginal(alpha_site=np.array([1.0, 1.0]), beta2=2.0)
-        row = copula_sample_row(marg, corr, rng)
+        row = copula_sample_rows(marg, corr, 1, rng)[0]
         assert row.shape == (2,)
         assert np.all(row > 0.0)
+
+
+def alpha_at_sites(log_coefs, covariates, **hyper):
+    h = HyperParams(alpha_coefs=log_coefs, beta1=1.0, beta2=2.0, rho=1.0, **hyper)
+    return site_marginal(h, covariates).alpha_site
 
 
 class TestSiteAlpha:
     def test_constant_intercept(self):
         cov = np.zeros((4, 3))
-        assert_allclose(site_alpha(np.array([1.0, 0.3, -0.2, 0.9]), cov), np.ones(4), rtol=1e-15)
+        assert_allclose(alpha_at_sites(np.array([0.0, 0.3, -0.2, 0.9]), cov), np.ones(4), rtol=1e-15)
 
     def test_log_linear_form(self):
         cov = np.array([[0.2, -0.4, 1.0], [0.0, 0.0, 0.0]])
-        coefs = np.array([2.0, 1.0, 1.0, 1.0])
+        coefs = np.array([math.log(2.0), 1.0, 1.0, 1.0])
         want = 2.0 * np.exp(cov.sum(axis=1))
-        assert_allclose(site_alpha(coefs, cov), want, rtol=1e-12)
+        assert_allclose(alpha_at_sites(coefs, cov), want, rtol=1e-12)
 
     def test_doubling_covariate(self):
         cov = np.array([[1.0], [2.0]])
-        coefs = np.array([1.5, 0.7])
-        vals = site_alpha(coefs, cov)
+        coefs = np.array([math.log(1.5), 0.7])
+        vals = alpha_at_sites(coefs, cov)
         assert_allclose(vals[1] / vals[0], math.exp(0.7), rtol=1e-12)
 
     def test_overflow_guard(self):
         with pytest.raises(DomainError):
-            site_log_alpha(np.array([800.0, 0.0]), np.zeros((2, 1)))
+            alpha_at_sites(np.array([800.0, 0.0]), np.zeros((2, 1)))
         with pytest.raises(DomainError):
-            site_alpha(np.array([1.0, 500.0]), np.full((3, 1), 2.0))
+            alpha_at_sites(np.array([0.0, 500.0]), np.full((3, 1), 2.0))
 
-    def test_nonpositive_intercept(self):
+    def test_underflow_guard(self):
+        # exp(-800) is 0: a zero scale is as unusable as an infinite one
         with pytest.raises(DomainError):
-            site_alpha(np.array([0.0, 1.0]), np.zeros((2, 1)))
+            alpha_at_sites(np.array([-800.0, 0.0]), np.zeros((2, 1)))
+        h = HyperParams(alpha_coefs=np.array([-800.0]), beta1=1.0, beta2=3.0, rho=1.0)
+        with pytest.raises(DomainError):
+            chi_u_curve(ScenarioSpec(d=2, n=1, hyper=h), 0.5, [0.9], 2000)
+
+    @pytest.mark.parametrize("slope", [1e6, -1e6])
+    def test_beta2_guard_both_sides(self, slope):
+        with pytest.raises(DomainError):
+            alpha_at_sites(np.array([0.0, 0.0]), np.full((3, 1), 2.0), beta2_slopes=[slope])
+        h = HyperParams(
+            alpha_coefs=np.zeros(4), beta1=1.0, beta2=3.0, rho=1.0, beta2_slopes=[slope]
+        )
+        with pytest.raises(DomainError):
+            simulate_dataset(ScenarioSpec(d=4, n=3, hyper=h, seed=1))
+
+    def test_beta2_slopes_scale_the_shape(self):
+        cov = np.array([[1.0], [-0.5]])
+        h = HyperParams(
+            alpha_coefs=np.zeros(2), beta1=1.0, beta2=2.0, rho=1.0, beta2_slopes=[0.3]
+        )
+        assert_allclose(site_marginal(h, cov).beta2, 2.0 * np.exp([0.3, -0.15]), rtol=1e-12)
 
 
 class TestSpatialModel:

@@ -41,12 +41,20 @@ def random_design(d, seed=0):
     return make_design(coords), covariates, ("x", "y", "z3")
 
 
+def variant_structure(variant, n_covariates):
+    return ParamStructure(
+        n_alpha_slopes=n_covariates,
+        beta1_free=not variant.beta1_fixed,
+        n_beta2_slopes=n_covariates if variant.beta2_covariates else None,
+    )
+
+
 class TestVariants:
     def test_parameter_counts(self):
-        assert VARIANTS["D1"].n_hyper(3) == 7
-        assert VARIANTS["D2"].n_hyper(3) == 10
-        assert VARIANTS["D3"].n_hyper(3) == 6
-        assert VARIANTS["D4"].n_hyper(3) == 9
+        assert variant_structure(VARIANTS["D1"], 3).size == 7
+        assert variant_structure(VARIANTS["D2"], 3).size == 10
+        assert variant_structure(VARIANTS["D3"], 3).size == 6
+        assert variant_structure(VARIANTS["D4"], 3).size == 9
 
     def test_counts_agree_with_vector_layout(self):
         design, covariates, names = random_design(6)
@@ -55,8 +63,9 @@ class TestVariants:
         for name, variant in VARIANTS.items():
             h = initial_hyper(variant, model, rng)
             structure = ParamStructure.from_hyper(h)
-            assert structure.size == variant.n_hyper(3), name
-            assert len(structure.names(names)) == variant.n_hyper(3)
+            expected = variant_structure(variant, 3).size
+            assert structure.size == expected, name
+            assert len(structure.names(names)) == expected
 
     def test_beta1_pinned_in_d3_d4(self):
         design, covariates, names = random_design(6)
