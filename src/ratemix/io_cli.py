@@ -3,8 +3,9 @@
 Subcommands: simulate, fit, predict, score, chi, extract-events. Every run
 writes a manifest echoing the parsed config, the seed, and content hashes of
 its inputs; reruns with the same manifest reproduce the data outputs byte
-for byte (the manifest itself carries a wall-clock timing field and is the
-one file excluded from that guarantee).
+for byte (the manifest itself is the one file excluded from that guarantee:
+it carries a wall-clock timing field and, for a fit, the BLAS thread count
+its chains ran with).
 
 Datasets are long-format CSV (site_id, time_id, value, censor): censor is
 the cell's threshold, "inf" for fully censored cells (missing values or
@@ -30,6 +31,7 @@ import time
 import numpy as np
 
 from . import __version__
+from ._blas import chain_blas_threads
 from .diagnostics import (
     latent_summaries,
     posterior_summaries,
@@ -224,12 +226,19 @@ def _hash_file(path):
     return h.hexdigest()
 
 
+# fields about the run's wall time and machine, not about what it computed
+_UNFINGERPRINTED = ("timing_seconds", "blas_threads", "fingerprint")
+
+
 def manifest_fingerprint(manifest):
-    core = {k: v for k, v in manifest.items() if k not in ("timing_seconds", "fingerprint")}
+    core = {k: v for k, v in manifest.items() if k not in _UNFINGERPRINTED}
     return hashlib.sha256(json.dumps(core, sort_keys=True).encode()).hexdigest()
 
 
-def write_manifest(out_dir, command, cfg, seed, inputs, extra=None, timing=None):
+def write_manifest(out_dir, command, cfg, seed, inputs, extra=None, timing=None,
+                   environment=None):
+    """Write manifest.json; `environment` fields (`blas_threads`) go beside
+    `timing_seconds`, outside the fingerprint."""
     manifest = {
         "command": command,
         "package_version": __version__,
@@ -243,6 +252,7 @@ def write_manifest(out_dir, command, cfg, seed, inputs, extra=None, timing=None)
     manifest["fingerprint"] = manifest_fingerprint(manifest)
     if timing is not None:
         manifest["timing_seconds"] = timing
+    manifest.update(environment or {})
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -480,6 +490,7 @@ def cmd_fit(args):
         args.out, "fit", cfg, seed, inputs,
         extra={"variant": spec.variant, "chains": args.chains},
         timing=time.monotonic() - t0,
+        environment={"blas_threads": chain_blas_threads()},
     )
     return 0
 

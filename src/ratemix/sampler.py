@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._blas import single_blas_thread
 from .latent_field import copula_sample_rows
 from .likelihood import (
     ParamStructure,
@@ -278,139 +279,147 @@ def run_chain(
 
     n_lat_rows = config.n_iter // config.thin + 1
     latent_iters = np.arange(n_lat_rows) * config.thin
+    hyper_trace = np.empty((config.n_iter + 1, structure.size))
+    latent_trace = np.empty((n_lat_rows, len(latent_cells)))
 
-    if resume_payload is None:
-        t_vec = pack(transform(init_hyper))
-        if init_log_lam is None:
-            log_lam = init_latents(init_hyper, data, model, rng)
+    with single_blas_thread():
+        if resume_payload is None:
+            t_vec = pack(transform(init_hyper))
+            if init_log_lam is None:
+                log_lam = init_latents(init_hyper, data, model, rng)
+            else:
+                log_lam = np.array(init_log_lam, dtype=float)
+            ctx = ev.prepare(init_hyper)
+            if ctx is None:
+                raise InitializationError("initial hyperparameters are unsupported")
+            lp, grad = ev.logpost_and_grad(ctx, log_lam)
+            if not math.isfinite(lp):
+                raise InitializationError("initial state has non-finite log posterior")
+            tuning = TuningState(config.tau_theta0, config.tau_lambda0)
+            start_iter = 0
+            hyper_trace[0] = natural_vector(init_hyper)
+            latent_trace[0] = log_lam[cell_rows, cell_cols]
+            accept_history = []
+            step_history = []
         else:
-            log_lam = np.array(init_log_lam, dtype=float)
-        ctx = ev.prepare(init_hyper)
-        if ctx is None:
-            raise InitializationError("initial hyperparameters are unsupported")
-        lp, grad = ev.logpost_and_grad(ctx, log_lam)
-        if not math.isfinite(lp):
-            raise InitializationError("initial state has non-finite log posterior")
-        tuning = TuningState(config.tau_theta0, config.tau_lambda0)
-        start_iter = 0
-        hyper_trace = np.empty((config.n_iter + 1, structure.size))
-        hyper_trace[0] = natural_vector(init_hyper)
-        latent_trace = np.empty((n_lat_rows, len(latent_cells)))
-        latent_trace[0] = log_lam[cell_rows, cell_cols]
-        accept_history = []
-        step_history = []
-    else:
-        if resume_payload["fingerprint"] != fingerprint:
-            raise ValueError("checkpoint fingerprint does not match this run")
-        saved = resume_payload["state"]
-        t_vec = saved["t_vec"]
-        log_lam = saved["log_lam"]
-        lp = saved["lp"]
-        grad = saved["grad"]
-        tuning = TuningState(saved["tau_theta"], saved["tau_lambda"])
-        (tuning.acc_rw, tuning.acc_mala, tuning.prop_rw, tuning.prop_mala) = saved[
-            "window"
-        ]
-        rng.bit_generator.state = saved["rng_state"]
-        start_iter = saved["iteration"]
-        traces = resume_payload["traces"]
-        # unpickled arrays carry their own dtype instance; rebind to the
-        # process-wide one so a resumed run pickles byte-identically
-        hyper_trace = traces["hyper_trace"].view(np.float64)
-        latent_trace = traces["latent_trace"].view(np.float64)
-        accept_history = list(traces["accept_history"])
-        step_history = list(traces["step_history"])
-        ctx = ev.prepare(inverse_transform(unpack(t_vec, structure)))
-        if ctx is None:
-            raise InitializationError("resumed hyperparameters are unsupported")
+            if resume_payload["fingerprint"] != fingerprint:
+                raise ValueError("checkpoint fingerprint does not match this run")
+            saved = resume_payload["state"]
+            # unpickled arrays carry their own dtype instance, which numpy
+            # passes on to arrays computed from them; rebind to the
+            # process-wide one so later checkpoints pickle byte-identically
+            t_vec = saved["t_vec"].view(np.float64)
+            log_lam = saved["log_lam"].view(np.float64)
+            lp = saved["lp"]
+            grad = saved["grad"].view(np.float64)
+            tuning = TuningState(saved["tau_theta"], saved["tau_lambda"])
+            (tuning.acc_rw, tuning.acc_mala, tuning.prop_rw, tuning.prop_mala) = saved[
+                "window"
+            ]
+            rng.bit_generator.state = saved["rng_state"]
+            start_iter = saved["iteration"]
+            traces = resume_payload["traces"]
+            n_hyper_rows = start_iter + 1
+            n_latent_rows = start_iter // config.thin + 1
+            hyper_trace[:n_hyper_rows] = traces["hyper_trace"][:n_hyper_rows]
+            latent_trace[:n_latent_rows] = traces["latent_trace"][:n_latent_rows]
+            accept_history = list(traces["accept_history"])
+            step_history = list(traces["step_history"])
+            ctx = ev.prepare(inverse_transform(unpack(t_vec, structure)))
+            if ctx is None:
+                raise InitializationError("resumed hyperparameters are unsupported")
+        # natural-scale trace row of the current state; only an accepted RW step
+        # changes it
+        hyper_row = natural_vector(inverse_transform(unpack(t_vec, structure)))
 
-    for it in range(start_iter + 1, config.n_iter + 1):
-        # hyperparameter block first, then the latent block
-        if config.sample_hyper:
-            tuning.prop_rw += 1
-            prop_vec = rw_propose(t_vec, tuning.tau_theta, rng)
-            prop_hyper = inverse_transform(unpack(prop_vec, structure))
-            ctx_prop = ev.prepare(prop_hyper)
-            lp_prop = -math.inf if ctx_prop is None else ev.logpost(ctx_prop, log_lam)
-            if mh_accept(lp, lp_prop, 0.0, 0.0, rng):
-                t_vec, ctx = prop_vec, ctx_prop
-                lp, grad = ev.logpost_and_grad(ctx, log_lam)
-                tuning.acc_rw += 1
+        for it in range(start_iter + 1, config.n_iter + 1):
+            # hyperparameter block first, then the latent block
+            if config.sample_hyper:
+                tuning.prop_rw += 1
+                prop_vec = rw_propose(t_vec, tuning.tau_theta, rng)
+                prop_hyper = inverse_transform(unpack(prop_vec, structure))
+                ctx_prop = ev.prepare(prop_hyper)
+                lp_prop = -math.inf if ctx_prop is None else ev.logpost(ctx_prop, log_lam)
+                if mh_accept(lp, lp_prop, 0.0, 0.0, rng):
+                    t_vec, ctx = prop_vec, ctx_prop
+                    lp, grad = ev.logpost_and_grad(ctx, log_lam)
+                    hyper_row = natural_vector(prop_hyper)
+                    tuning.acc_rw += 1
 
-        tuning.prop_mala += 1
-        prop_lam, logq_fwd = mala_propose(log_lam, grad, tuning.tau_lambda, rng)
-        lp_prop, grad_prop = ev.logpost_and_grad(ctx, prop_lam)
-        if grad_prop is None:
-            logq_rev = 0.0
-        else:
-            rev_mean = mala_mean(prop_lam, grad_prop, tuning.tau_lambda)
-            logq_rev = mala_logq(log_lam, rev_mean, tuning.tau_lambda)
-        if mh_accept(lp, lp_prop, logq_fwd, logq_rev, rng):
-            log_lam, lp, grad = prop_lam, lp_prop, grad_prop
-            tuning.acc_mala += 1
+            tuning.prop_mala += 1
+            prop_lam, logq_fwd = mala_propose(log_lam, grad, tuning.tau_lambda, rng)
+            lp_prop, grad_prop = ev.logpost_and_grad(ctx, prop_lam)
+            if grad_prop is None:
+                logq_rev = 0.0
+            else:
+                rev_mean = mala_mean(prop_lam, grad_prop, tuning.tau_lambda)
+                logq_rev = mala_logq(log_lam, rev_mean, tuning.tau_lambda)
+            if mh_accept(lp, lp_prop, logq_fwd, logq_rev, rng):
+                log_lam, lp, grad = prop_lam, lp_prop, grad_prop
+                tuning.acc_mala += 1
 
-        hyper_trace[it] = natural_vector(inverse_transform(unpack(t_vec, structure)))
-        if it % config.thin == 0:
-            latent_trace[it // config.thin] = log_lam[cell_rows, cell_cols]
+            hyper_trace[it] = hyper_row
+            if it % config.thin == 0:
+                latent_trace[it // config.thin] = log_lam[cell_rows, cell_cols]
 
-        if it % config.adapt_interval == 0:
-            p_rw = tuning.acc_rw / tuning.prop_rw if tuning.prop_rw else 0.0
-            p_mala = tuning.acc_mala / tuning.prop_mala
-            phase = _phase(it, config)
-            if phase == 1:
-                if config.sample_hyper:
-                    tuning.tau_theta = adapt_step(
-                        tuning.tau_theta, p_rw, config.p_target_rw, config.omega
-                    )
-                tuning.tau_lambda = adapt_step(
-                    tuning.tau_lambda, p_mala, config.p_target_mala, config.omega
-                )
-            elif phase == 2:
-                if config.sample_hyper and not (
-                    config.rw_band[0] <= p_rw <= config.rw_band[1]
-                ):
-                    tuning.tau_theta = adapt_step(
-                        tuning.tau_theta, p_rw, config.p_target_rw, config.omega
-                    )
-                if not (config.mala_band[0] <= p_mala <= config.mala_band[1]):
+            if it % config.adapt_interval == 0:
+                p_rw = tuning.acc_rw / tuning.prop_rw if tuning.prop_rw else 0.0
+                p_mala = tuning.acc_mala / tuning.prop_mala
+                phase = _phase(it, config)
+                if phase == 1:
+                    if config.sample_hyper:
+                        tuning.tau_theta = adapt_step(
+                            tuning.tau_theta, p_rw, config.p_target_rw, config.omega
+                        )
                     tuning.tau_lambda = adapt_step(
                         tuning.tau_lambda, p_mala, config.p_target_mala, config.omega
                     )
-            accept_history.append((it, p_rw, p_mala))
-            step_history.append((it, tuning.tau_theta, tuning.tau_lambda))
-            tuning.reset_window()
-            if progress is not None:
-                progress(it, p_rw, p_mala, tuning.tau_theta, tuning.tau_lambda)
+                elif phase == 2:
+                    if config.sample_hyper and not (
+                        config.rw_band[0] <= p_rw <= config.rw_band[1]
+                    ):
+                        tuning.tau_theta = adapt_step(
+                            tuning.tau_theta, p_rw, config.p_target_rw, config.omega
+                        )
+                    if not (config.mala_band[0] <= p_mala <= config.mala_band[1]):
+                        tuning.tau_lambda = adapt_step(
+                            tuning.tau_lambda, p_mala, config.p_target_mala, config.omega
+                        )
+                accept_history.append((it, p_rw, p_mala))
+                step_history.append((it, tuning.tau_theta, tuning.tau_lambda))
+                tuning.reset_window()
+                if progress is not None:
+                    progress(it, p_rw, p_mala, tuning.tau_theta, tuning.tau_lambda)
 
-        if config.audit_interval and it % config.audit_interval == 0:
-            hyper_now = inverse_transform(unpack(t_vec, structure))
-            lp_ref = augmented_logpost(hyper_now, log_lam, data, model, priors)
-            if not abs(lp_ref - lp) <= 1e-8:
-                raise ChainDivergedError(
-                    f"cached lp {lp} vs recomputed {lp_ref} at iteration {it}"
+            if config.audit_interval and it % config.audit_interval == 0:
+                hyper_now = inverse_transform(unpack(t_vec, structure))
+                lp_ref = augmented_logpost(hyper_now, log_lam, data, model, priors)
+                if not abs(lp_ref - lp) <= 1e-8:
+                    raise ChainDivergedError(
+                        f"cached lp {lp} vs recomputed {lp_ref} at iteration {it}"
+                    )
+
+            if (
+                checkpoint_path is not None
+                and config.checkpoint_interval
+                and it % config.checkpoint_interval == 0
+            ):
+                state = ChainState(
+                    iteration=it,
+                    t_vec=t_vec,
+                    log_lam=log_lam,
+                    lp=lp,
+                    grad=grad,
+                    tuning=tuning,
+                    rng_state=rng.bit_generator.state,
                 )
-
-        if (
-            checkpoint_path is not None
-            and config.checkpoint_interval
-            and it % config.checkpoint_interval == 0
-        ):
-            state = ChainState(
-                iteration=it,
-                t_vec=t_vec,
-                log_lam=log_lam,
-                lp=lp,
-                grad=grad,
-                tuning=tuning,
-                rng_state=rng.bit_generator.state,
-            )
-            traces = {
-                "hyper_trace": hyper_trace,
-                "latent_trace": latent_trace,
-                "accept_history": accept_history,
-                "step_history": step_history,
-            }
-            save_checkpoint(checkpoint_path, state, fingerprint, traces)
+                traces = {
+                    "hyper_trace": hyper_trace[: it + 1],
+                    "latent_trace": latent_trace[: it // config.thin + 1],
+                    "accept_history": accept_history,
+                    "step_history": step_history,
+                }
+                save_checkpoint(checkpoint_path, state, fingerprint, traces)
 
     return ChainOutput(
         names=structure.names(

@@ -5,10 +5,10 @@ from its last checkpoint, a D2 fit, predict, score and chi on one small fixed
 configuration, and compares the SHA-256 of every output file with the
 digests stored in golden_digests.json. A change that leaves the arithmetic
 alone keeps every digest. Manifests are hashed without their wall-clock
-timing, their absolute-path fields and the fingerprint that covers those
-paths. A checkpoint stores the chain's preallocated trace arrays whole, and
-the rows past its iteration are uninitialized memory, so checkpoints are
-hashed as a re-pickle of their state and of the trace rows written so far.
+timing, their BLAS thread count, their absolute-path fields and the
+fingerprint that covers those paths. Checkpoints are hashed as a re-pickle
+of their state and of the trace rows up to their iteration, the rows a
+checkpoint stores.
 
 The digests depend on the numpy and scipy builds, so the test skips when the
 installed versions differ from the recorded ones. Rewrite the file with
@@ -75,8 +75,8 @@ seed = 4
 """
 
 THIN = 10
-# manifest fields that hold wall time or absolute paths
-_VOLATILE = ("timing_seconds", "fingerprint", "fit", "fits")
+# manifest fields that hold wall time, the machine's BLAS threads or absolute paths
+_VOLATILE = ("timing_seconds", "blas_threads", "fingerprint", "fit", "fits")
 
 
 def _digest(path):

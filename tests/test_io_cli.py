@@ -11,6 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ratemix import io_cli
+from ratemix._blas import chain_blas_threads
 from ratemix.io_cli import (
     ConfigError,
     cfg_get,
@@ -383,6 +384,28 @@ class TestFitCli:
         ])
         assert rc == 0
         for name in ("trace.csv", "history.csv", "summary.json", "chains.pkl"):
+            assert read_bytes(out2 / name) == read_bytes(workspace["fit_dir"] / name), name
+
+    def test_manifest_records_blas_threads(self, workspace):
+        manifest = json.loads((workspace["fit_dir"] / "manifest.json").read_text())
+        assert manifest["blas_threads"] == chain_blas_threads()
+        assert manifest["fingerprint"] == io_cli.manifest_fingerprint(manifest)
+
+    def test_resume_under_user_thread_setting(self, workspace, tmp_path, monkeypatch):
+        # blas_threads describes the machine, so it stays out of the
+        # fingerprint that checkpoints must match
+        out2 = tmp_path / "fitG"
+        shutil.copytree(workspace["fit_dir"], out2)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        rc = io_cli.main([
+            "fit", "--config", str(workspace["fit_cfg"]),
+            "--data", str(workspace["data_dir"]),
+            "--out", str(out2), "--chains", "2", "--resume",
+        ])
+        assert rc == 0
+        manifest = json.loads((out2 / "manifest.json").read_text())
+        assert manifest["blas_threads"] == chain_blas_threads()
+        for name in ("trace.csv", "chains.pkl"):
             assert read_bytes(out2 / name) == read_bytes(workspace["fit_dir"] / name), name
 
     def test_resume_without_checkpoint_fails(self, workspace, tmp_path, capsys):

@@ -329,6 +329,45 @@ class TestRunChain:
         assert out.final_tau_theta == ref.final_tau_theta
         assert out.final_tau_lambda == ref.final_tau_lambda
 
+    def test_checkpoint_bytes_are_reproducible(self, tmp_path):
+        # 1300 is not a multiple of 500, so the last checkpoint (iteration
+        # 1000) is written while later trace rows are still unwritten
+        data, model, hyper = chain_scene()
+        config = SamplerConfig(n_iter=1300, burnin1=500, burnin2=500, thin=50,
+                               checkpoint_interval=500, seed=9)
+        paths = [tmp_path / f"run{k}.ckpt" for k in range(2)]
+        for path in paths:
+            run_chain(config, data, model, PriorSet(), hyper,
+                      checkpoint_path=str(path), fingerprint="fp")
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        traces = load_checkpoint(str(paths[0]))["traces"]
+        assert traces["hyper_trace"].shape == (1001, 5)
+        assert traces["latent_trace"].shape == (21, 3)
+
+    def test_resumed_checkpoint_bytes_match_uninterrupted(self, tmp_path):
+        data, model, hyper = chain_scene()
+        config = SamplerConfig(n_iter=1300, burnin1=500, burnin2=500, thin=50,
+                               checkpoint_interval=500, seed=9)
+        straight, interrupted = tmp_path / "straight.ckpt", tmp_path / "resumed.ckpt"
+        run_chain(config, data, model, PriorSet(), hyper,
+                  checkpoint_path=str(straight), fingerprint="fp")
+
+        class Stop(Exception):
+            pass
+
+        def interrupt(it, *rest):
+            if it >= 600:
+                raise Stop()
+
+        with pytest.raises(Stop):
+            run_chain(config, data, model, PriorSet(), hyper,
+                      checkpoint_path=str(interrupted), fingerprint="fp", progress=interrupt)
+        payload = load_checkpoint(str(interrupted))
+        assert payload["state"]["iteration"] == 500
+        run_chain(config, data, model, PriorSet(), hyper, checkpoint_path=str(interrupted),
+                  resume_payload=payload, fingerprint="fp")
+        assert interrupted.read_bytes() == straight.read_bytes()
+
     def test_resume_rejects_wrong_fingerprint(self, tmp_path):
         data, model, hyper = chain_scene()
         config = SamplerConfig(n_iter=1500, burnin1=500, burnin2=500,
